@@ -340,17 +340,25 @@ def median(values: Sequence[float]) -> float:
 
 
 def _git_commit() -> Optional[str]:
-    env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(ROOT))
+    """HEAD's commit when the checkout is a git work tree (read from
+    ``.git`` directly, so nothing outside the checkout is consulted)."""
+    git_dir = os.path.join(ROOT, ".git")
     try:
-        out = subprocess.run(
-            ["git", "-C", ROOT, "rev-parse", "HEAD"], capture_output=True,
-            text=True, env=env, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if out.returncode != 0:
-        return None  # not a git checkout
-    return out.stdout.strip() or None
+        with open(os.path.join(git_dir, "HEAD")) as handle:
+            head = handle.read().strip()
+        if not head.startswith("ref: "):
+            return head  # detached HEAD
+        ref = head[len("ref: "):]
+        if os.path.exists(os.path.join(git_dir, ref)):
+            with open(os.path.join(git_dir, ref)) as handle:
+                return handle.read().strip()
+        with open(os.path.join(git_dir, "packed-refs")) as handle:
+            for line in handle:
+                if line.rstrip().endswith(" " + ref):
+                    return line.split()[0]
+    except OSError:
+        pass
+    return None
 
 
 def _source_digest() -> str:

@@ -62,8 +62,11 @@ class ServeObservation:
         self._client_stats = client_stats
 
     def _mark(self):
-        return (time.perf_counter(), time.time(),
+        mark = (time.perf_counter(), time.time(),
                 self._control.metrics_snapshot(), self._client_stats())
+        # Only the generator's own connections stay open in the window.
+        self._control.close()
+        return mark
 
     def before(self) -> None:
         self._start = self._mark()

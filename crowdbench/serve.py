@@ -225,16 +225,17 @@ class ServeWorkload:
             attempted, latencies = self.drive(window_start + window, recorder)
             window_s = perf() - window_start
             cpu_s = cpu_delta_s(cpu_before, server.cpu())
+            rss_mb = server.peak_rss_mb()
+            # Closing a connection ends its server handler thread, whose
+            # CPU time /proc then no longer lists: close after the reading.
+            self.close()
             if traced:
                 observation.after()
             outcome, error = self.read_outcome(control)
-            rss_mb = server.peak_rss_mb()
             control.close()
         finally:
             if recorder is not None:
                 recorder.unwrap_all()
-            # Closing a connection ends its server handler thread, whose
-            # CPU time /proc then no longer lists: close after the readings.
             if enrolled:
                 self.close()
             if server is not None:
@@ -397,9 +398,10 @@ class GatewayCrowd(ServeWorkload):
 class ShardedDurable(ServeWorkload):
     """repro-serve --workers 2 --state-dir --metrics, two generator threads.
 
-    Generator thread k drives the 16 devices the tier's own router
-    assigns to shard k, so each shard sees one closed-loop arrival order
-    and its parameters can be replayed bit for bit.
+    Generator thread k (the main thread for k = 0) drives the 16 devices
+    the tier's own router assigns to shard k over its own connection, so
+    each shard sees one closed-loop arrival order and its parameters can
+    be replayed bit for bit.
     """
 
     name = "sharded_durable"
@@ -427,60 +429,58 @@ class ShardedDurable(ServeWorkload):
     def setup(self, url, recorder):
         if recorder is not None:
             wrap_client_layers(recorder)
-        self.client = ServiceClient(url, timeout=60)
+        self.client = ServiceClient(url, timeout=60)  # one connection per thread
         self.transport = HttpTransport(self.client)
-        self.enrolled = threading.Barrier(SHARDED_WORKERS + 1)
-        self.driven = threading.Barrier(SHARDED_WORKERS + 1)
-        self.go = threading.Event()
-        self.release = threading.Event()
         self.deadline = 0.0
         self.results: List = [None] * SHARDED_WORKERS
         self.errors: List[BaseException] = []
-        self.threads = [
-            threading.Thread(target=self._worker, args=(shard, recorder),
-                             name=f"generator-{shard}", daemon=True)
-            for shard in range(SHARDED_WORKERS)
-        ]
-        for thread in self.threads:
-            thread.start()
+        self.enrolled = threading.Event()
+        self.go = threading.Event()
+        self.driven = threading.Event()
+        self.release = threading.Event()
+        # The main thread is shard 0's generator; one more thread is shard 1's.
+        self.helper = threading.Thread(target=self._helper, args=(recorder,),
+                                       name="generator-1", daemon=True)
+        self.helper.start()
+        self.crowd = self._enroll(0)
         self.enrolled.wait(timeout=600)
+        if self.errors:
+            raise self.errors[0]
 
-    def _worker(self, shard: int, recorder) -> None:
+    def _enroll(self, shard: int):
+        task, config = model(), device_config()
+        ids = self.shard_devices[shard]
+        offset = shard * len(ids)
+        devices = [
+            RemoteDevice.join(self.transport, d, task, config, device_rng(self.seed, d))
+            for d in ids
+        ]
+        return devices, [Feeder(self.parts[offset + k]) for k in range(len(ids))]
+
+    def _drive_shard(self, shard: int, crowd, recorder) -> None:
+        devices, feeders = crowd
+        self.results[shard] = drive_device_rounds(
+            devices, feeders, self.deadline, recorder, round_base=(shard + 1) * 10**9)
+
+    def _helper(self, recorder) -> None:
         try:
-            task, config = model(), device_config()
-            ids = self.shard_devices[shard]
-            offset = shard * len(ids)
-            devices = [
-                RemoteDevice.join(self.transport, d, task, config,
-                                  device_rng(self.seed, d))
-                for d in ids
-            ]
-            feeders = [Feeder(self.parts[offset + k]) for k in range(len(ids))]
-        except BaseException as error:  # noqa: BLE001 - reported by the main thread
-            self.errors.append(error)
-            self.enrolled.abort()
-            return
-        try:
-            self.enrolled.wait(timeout=600)
+            crowd = self._enroll(1)
+            self.enrolled.set()
             self.go.wait(timeout=600)
-            self.results[shard] = drive_device_rounds(
-                devices, feeders, self.deadline, recorder,
-                round_base=(shard + 1) * 10**9)
-        except BaseException as error:  # noqa: BLE001 - reported by the main thread
+            self._drive_shard(1, crowd, recorder)
+        except BaseException as error:  # noqa: BLE001 - re-raised by the main thread
             self.errors.append(error)
-        try:
-            self.driven.wait(timeout=600)
-            self.release.wait(timeout=600)
         finally:
+            self.enrolled.set()
+            self.driven.set()
+            self.release.wait(timeout=600)
             self.client.close()  # this thread's pooled connection
 
     def drive(self, deadline, recorder):
         self.deadline = deadline
         self.go.set()
-        try:
-            self.driven.wait(timeout=600)
-        except threading.BrokenBarrierError:
-            pass
+        self._drive_shard(0, self.crowd, recorder)
+        self.driven.wait(timeout=600)
         if self.errors:
             raise self.errors[0]
         attempted = sum(result[0] for result in self.results)
@@ -488,9 +488,10 @@ class ShardedDurable(ServeWorkload):
         return attempted, latencies
 
     def close(self):
+        self.go.set()  # a helper still waiting to start finds its deadline passed
         self.release.set()
-        for thread in self.threads:
-            thread.join(timeout=600)
+        self.helper.join(timeout=600)
+        self.client.close()
 
     def read_outcome(self, control):
         shards, errors = [], []
