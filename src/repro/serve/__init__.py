@@ -2,7 +2,11 @@
 
 * :mod:`repro.serve.wire` — the versioned envelope schema
   (:data:`~repro.serve.wire.PROTOCOL_VERSION`, typed error payloads).
-* :class:`CrowdService` — stdlib HTTP host owning a
+* :mod:`repro.serve.http_host` — :class:`~repro.serve.http_host.HttpHost`,
+  the one stdlib HTTP host (lifecycle, error envelopes, request metrics,
+  ``/v1/metrics``) that both :class:`CrowdService` and the sharded
+  tier's :class:`~repro.shard.frontend.ShardFrontEnd` run on.
+* :class:`CrowdService` — the host's routes over a
   :class:`~repro.core.server_core.ServerCore`
   (``/v1/checkout``, ``/v1/checkins``, ``/v1/status``, ``/v1/join``).
 * :class:`ServiceClient` — the JSON-over-HTTP client.

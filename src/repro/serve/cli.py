@@ -46,7 +46,7 @@ import argparse
 import os
 import signal
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import repro
 from repro.core.auth import DeviceRegistry
@@ -58,6 +58,7 @@ from repro.obs.trace import TraceRecorder
 from repro.persist.checkpoint import Checkpointer, CheckpointPolicy, SnapshotStore
 from repro.persist.snapshot import restore_core
 from repro.registry import MODELS, SHARD_ROUTING
+from repro.serve.http_host import HttpHost
 from repro.serve.service import CrowdService
 from repro.serve.wire import PROTOCOL_VERSION
 from repro.utils.exceptions import ReproError
@@ -279,6 +280,40 @@ def _worker_base_args(args: argparse.Namespace) -> List[str]:
     return base
 
 
+def _serve_until_signalled(
+    host: HttpHost, role: str, finish: Callable[[], bool], scope: str = ""
+) -> int:
+    """Serve ``host`` on this thread until SIGINT/SIGTERM, then shut down.
+
+    The listener stops, requests already inside a handler drain and get
+    their responses, ``finish`` runs (final snapshot, worker shutdown;
+    it returns True when that step failed), and the request summary goes
+    to stderr.  Returns the exit code: 0 clean, 3 dirty.
+    """
+
+    def _shutdown(signum, frame):
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, _shutdown)
+    dirty = False
+    try:
+        host.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        host.stop()
+        if not host.drain(timeout=10.0):
+            print(f"repro-serve: {role} drain timed out", file=sys.stderr)
+            dirty = True
+        dirty = finish() or dirty
+        print(
+            f"served {host.requests_served} requests "
+            f"({host.total_errors} errors){scope}",
+            file=sys.stderr,
+        )
+    return 3 if dirty else 0
+
+
 def run_sharded(args: argparse.Namespace) -> int:
     """``--workers N``: supervise N shard workers behind one front end."""
     from repro.shard import ShardFrontEnd, ShardRouter, ShardSupervisor, ShardWorker
@@ -332,32 +367,19 @@ def run_sharded(args: argparse.Namespace) -> int:
     for shard, (url, epoch) in sorted(supervisor.endpoints().items()):
         print(f"shard {shard} at {url} epoch {epoch}", flush=True)
 
-    def _shutdown(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _shutdown)
-    dirty = False
-    try:
-        frontend.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        frontend.stop()
-        if not frontend.drain(timeout=10.0):
-            print("repro-serve: front-end drain timed out", file=sys.stderr)
-            dirty = True
+    def _stop_workers() -> bool:
+        dirty = False
         codes = supervisor.stop(graceful=True)
         for shard, code in sorted(codes.items()):
             if code not in (0, None):
                 print(f"repro-serve: shard {shard} worker exited {code}",
                       file=sys.stderr)
                 dirty = True
-        print(
-            f"served {frontend.requests_served} requests "
-            f"({frontend.total_errors} errors) across {args.workers} shards",
-            file=sys.stderr,
-        )
-    return 3 if dirty else 0
+        return dirty
+
+    return _serve_until_signalled(
+        frontend, "front-end", _stop_workers, f" across {args.workers} shards"
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -390,33 +412,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             flush=True,
         )
 
-    def _shutdown(signum, frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _shutdown)
-    dirty = False
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.stop()
-        # Graceful half of durability: requests already inside a handler
-        # get their responses, then the final state is made durable.
-        if not service.drain(timeout=10.0):
-            print("repro-serve: shutdown drain timed out", file=sys.stderr)
-            dirty = True
+    def _final_flush() -> bool:
         try:
             service.checkpoint_now()
         except (ReproError, OSError) as error:
             print(f"repro-serve: final snapshot failed: {error}", file=sys.stderr)
-            dirty = True
-        print(
-            f"served {service.requests_served} requests "
-            f"({service.total_errors} errors)",
-            file=sys.stderr,
-        )
-    return 3 if dirty else 0
+            return True
+        return False
+
+    return _serve_until_signalled(service, "shutdown", _final_flush)
 
 
 if __name__ == "__main__":

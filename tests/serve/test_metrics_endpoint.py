@@ -31,9 +31,6 @@ def drive_traffic(service, rounds=3):
     for _ in range(rounds):
         client.checkins([checkin_for(client, 7, token)])
     client.status()
-    # Responses are sent BEFORE the server thread records counters and
-    # finishes the trace; quiesce so in-process snapshot reads see them.
-    assert service.drain()
     return client
 
 
@@ -161,7 +158,6 @@ class TestTracing:
         service, _, tracer = observed
         with pytest.raises(urllib.error.HTTPError):
             urllib.request.urlopen(service.url + "/v1/nope")
-        assert service.drain()  # record lands after the 404 is sent
         statuses = [r["status"] for r in tracer.snapshot()]
         assert 404 in statuses
 
@@ -189,7 +185,6 @@ class TestErrorCounters:
                     method="POST",
                 )
             )
-        assert service.drain()
         snapshot = service.metrics_snapshot()
         errors = {
             c["labels"].get("endpoint"): c["value"]

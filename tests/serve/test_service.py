@@ -4,6 +4,12 @@ Each test talks real HTTP over loopback.  The overriding contract: no
 payload — malformed, version-mismatched, stale, oversized, or plain
 garbage — crashes the service; every rejection is a 4xx/5xx ``error``
 envelope and the very next valid request still succeeds.
+
+The host-level cases (routing, body limits, fuzz bodies, internal
+errors, lifecycle) live in the ``Host*`` mixins and run twice: against a
+``CrowdService`` in ``TestRejections`` / ``TestRobustness``, and against
+a ``ShardFrontEnd`` over one in-process worker in ``TestFrontEndHost`` —
+both answer through the one shared ``HttpHost``.
 """
 
 import json
@@ -24,6 +30,7 @@ from repro.serve import (
     ServiceClient,
     wire,
 )
+from repro.shard import ShardFrontEnd, ShardRouter, StaticEndpoints
 
 DIM, CLASSES = 3, 2
 NUM_PARAMETERS = MulticlassLogisticRegression(DIM, CLASSES).num_parameters
@@ -44,10 +51,33 @@ def service():
         yield live
 
 
-def raw_post(url, path, body: bytes, headers=None):
-    """POST raw bytes, returning (status, body) without raising."""
+@pytest.fixture()
+def make_host():
+    """Builds unstarted hosts; ``TestFrontEndHost`` overrides it."""
+    return lambda port=0: CrowdService(make_core(), port=port)
+
+
+@pytest.fixture()
+def host(make_host):
+    with make_host() as live:
+        yield live
+
+
+def break_checkout(host, monkeypatch):
+    """Plant a genuine bug on the host's own checkout path."""
+    def boom(*args):
+        raise RuntimeError("synthetic handler bug")
+
+    if isinstance(host, CrowdService):
+        monkeypatch.setattr(host.core, "handle_checkout", boom)
+    else:
+        monkeypatch.setattr(host.router, "shard_of", boom)
+
+
+def raw_post(url, path, body: bytes, headers=None, method="POST"):
+    """Send raw bytes, returning (status, body) without raising."""
     request = urllib.request.Request(
-        url + path, data=body, method="POST",
+        url + path, data=body, method=method,
         headers=headers or {"Content-Type": "application/json"},
     )
     try:
@@ -107,7 +137,64 @@ class TestHappyPath:
         assert service.core.registry.is_registered(3)
 
 
-class TestRejections:
+class HostRejections:
+    """Rejections every host answers alike, whatever routes it serves."""
+
+    def test_unknown_route_is_404_and_method_405(self, host):
+        status, payload = raw_post(host.url, "/v2/checkout", b"{}")
+        assert status == 404
+        assert wire.decode_error(payload).code == wire.ErrorCode.NOT_FOUND
+        request = urllib.request.Request(host.url + "/v1/checkout")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 405
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH", "OPTIONS"])
+    def test_other_methods_get_typed_errors_and_are_counted(self, host, method):
+        status, payload = raw_post(host.url, "/v1/checkins", b"{}", method=method)
+        assert status == 405
+        assert wire.decode_error(payload).code == wire.ErrorCode.METHOD_NOT_ALLOWED
+        status, payload = raw_post(host.url, "/v2/checkins", b"{}", method=method)
+        assert status == 404
+        assert wire.decode_error(payload).code == wire.ErrorCode.NOT_FOUND
+        # HEAD gets the same typed status, without a body.
+        assert raw_post(host.url, "/v1/checkins", None, method="HEAD") == (405, b"")
+        assert host.requests_served == 3
+        assert host.errors_returned == {
+            wire.ErrorCode.METHOD_NOT_ALLOWED: 2, wire.ErrorCode.NOT_FOUND: 1,
+        }
+
+    def test_oversized_body_is_413(self, host):
+        from repro.serve.service import MAX_BODY_BYTES
+
+        request = urllib.request.Request(
+            host.url + "/v1/checkout", data=b"x", method="POST",
+            headers={"Content-Length": str(MAX_BODY_BYTES + 1)},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 413
+
+    @pytest.mark.parametrize("length", ["-1", "ten"])
+    def test_bad_content_length_is_400(self, host, length):
+        status, payload = raw_post(
+            host.url, "/v1/checkout", b"x", headers={"Content-Length": length}
+        )
+        assert status == 400
+        assert wire.decode_error(payload).code == wire.ErrorCode.MALFORMED
+
+    def test_stop_before_start_releases_port(self, make_host):
+        # Construction binds the socket; stop() without a serve loop must
+        # close it without blocking on a shutdown handshake.
+        first = make_host()
+        port = first.port
+        first.stop()
+        second = make_host(port=port)  # port is free again
+        second.stop()
+        second.stop()  # idempotent at any lifecycle point
+
+
+class TestRejections(HostRejections):
     def test_unknown_device_is_401(self, service):
         client = ServiceClient(service.url)
         with pytest.raises(RemoteAuthenticationError) as excinfo:
@@ -140,26 +227,6 @@ class TestRejections:
         assert status == 426
         assert wire.decode_error(payload).code == wire.ErrorCode.VERSION_MISMATCH
 
-    def test_unknown_route_is_404_and_method_405(self, service):
-        status, payload = raw_post(service.url, "/v2/checkout", b"{}")
-        assert status == 404
-        assert wire.decode_error(payload).code == wire.ErrorCode.NOT_FOUND
-        request = urllib.request.Request(service.url + "/v1/checkout")
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 405
-
-    def test_oversized_body_is_413(self, service):
-        from repro.serve.service import MAX_BODY_BYTES
-
-        request = urllib.request.Request(
-            service.url + "/v1/checkout", data=b"x", method="POST",
-            headers={"Content-Length": str(MAX_BODY_BYTES + 1)},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 413
-
     def test_join_disabled(self):
         core = make_core()
         core.register_device(0)
@@ -172,16 +239,6 @@ class TestRejections:
             assert client.checkout(
                 CheckoutRequest(0, token, 0.0)).parameters.size
 
-    def test_stop_before_start_releases_port(self):
-        # Construction binds the socket; stop() without a serve loop must
-        # close it without blocking on a shutdown handshake.
-        first = CrowdService(make_core())
-        port = first.port
-        first.stop()
-        second = CrowdService(make_core(), port=port)  # port is free again
-        second.stop()
-        second.stop()  # idempotent at any lifecycle point
-
     def test_unreachable_server(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(RemoteServiceError) as excinfo:
@@ -189,7 +246,9 @@ class TestRejections:
         assert excinfo.value.code == wire.ErrorCode.UNREACHABLE
 
 
-class TestRobustness:
+class HostRobustness:
+    """No request body, however garbled, takes a host down."""
+
     FUZZ_BODIES = [
         b"",
         b"garbage",
@@ -208,9 +267,9 @@ class TestRobustness:
     ]
 
     @pytest.mark.parametrize("path", ["/v1/checkout", "/v1/checkins", "/v1/join"])
-    def test_fuzz_bodies_are_4xx_and_server_survives(self, service, path):
+    def test_fuzz_bodies_are_4xx_and_server_survives(self, host, path):
         for body in self.FUZZ_BODIES:
-            status, payload = raw_post(service.url, path, body)
+            status, payload = raw_post(host.url, path, body)
             assert 400 <= status < 500, (path, body[:40], status)
             # Every error is a decodable typed envelope.
             error = wire.decode_error(payload)
@@ -218,13 +277,29 @@ class TestRobustness:
                 wire.ErrorCode.MALFORMED, wire.ErrorCode.VERSION_MISMATCH,
                 wire.ErrorCode.AUTH_FAILED,
             )
-        # The service is still fully functional afterwards.
-        client = ServiceClient(service.url)
+        # The host is still fully functional afterwards.
+        client = ServiceClient(host.url)
         token = client.join(1)
         result = client.checkins([checkin_for(client, 1, token)])
         assert result.acks[0] is not None
-        assert service.total_errors == len(self.FUZZ_BODIES)
+        assert host.total_errors == len(self.FUZZ_BODIES)
 
+    def test_internal_errors_are_500_and_survivable(self, host, monkeypatch):
+        # Force a genuine bug in a handler: the response must be a typed
+        # 500 envelope, and the next request must succeed.
+        client = ServiceClient(host.url)
+        token = client.join(0)
+        break_checkout(host, monkeypatch)
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.checkout(CheckoutRequest(0, token, 0.0))
+        assert excinfo.value.http_status == 500
+        assert excinfo.value.code == wire.ErrorCode.INTERNAL
+        monkeypatch.undo()
+        assert client.checkout(CheckoutRequest(0, token, 0.0)) is not None
+        assert host.errors_returned[wire.ErrorCode.INTERNAL] == 1
+
+
+class TestRobustness(HostRobustness):
     def test_wrong_envelope_kind_on_route(self, service):
         # A status envelope POSTed to /v1/checkout: valid wire, wrong kind.
         status, payload = raw_post(
@@ -234,19 +309,12 @@ class TestRobustness:
         assert status == 400
         assert wire.decode_error(payload).code == wire.ErrorCode.MALFORMED
 
-    def test_internal_errors_are_500_and_survivable(self, service, monkeypatch):
-        # Force a genuine bug in a handler: the response must be a typed
-        # 500 envelope, and the next request must succeed.
-        def boom(request):
-            raise RuntimeError("synthetic handler bug")
 
-        monkeypatch.setattr(service.core, "handle_checkout", boom)
-        client = ServiceClient(service.url)
-        token = client.join(0)
-        with pytest.raises(RemoteServiceError) as excinfo:
-            client.checkout(CheckoutRequest(0, token, 0.0))
-        assert excinfo.value.http_status == 500
-        assert excinfo.value.code == wire.ErrorCode.INTERNAL
-        monkeypatch.undo()
-        assert client.checkout(CheckoutRequest(0, token, 0.0)) is not None
-        assert service.errors_returned[wire.ErrorCode.INTERNAL] == 1
+class TestFrontEndHost(HostRejections, HostRobustness):
+    """The host contract through a ShardFrontEnd over one in-process worker."""
+
+    @pytest.fixture()
+    def make_host(self):
+        with CrowdService(make_core()) as worker:
+            endpoints = StaticEndpoints({0: worker.url})
+            yield lambda port=0: ShardFrontEnd(ShardRouter(1), endpoints, port=port)

@@ -61,10 +61,6 @@ def drive(tier, rng, per_shard=3):
             core = tier.services[shard].core
             client.checkins([make_message(core, device, token, rng)])
     client.status()
-    # Workers ack before recording their counters; quiesce so the next
-    # scrape sees every series at its final value.
-    for service in tier.services:
-        assert service.drain()
     return client
 
 
