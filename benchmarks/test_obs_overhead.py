@@ -9,9 +9,13 @@ Two arms, both published to ``benchmarks/results/obs_overhead.json``:
   overhead percentage is recorded, **not** asserted (shared-runner
   jitter must not flake CI — the ≤5 % target is a recorded number the
   artifact history tracks).
-* **serve** — a single-client check-in loop against a live
-  ``repro-serve`` with and without ``--metrics``; same recording-only
-  treatment, plus the enabled arm's scrape must be non-vacuous.
+* **serve** — a single-client check-in loop against two live
+  ``repro-serve`` processes, one with ``--metrics``: each is spawned
+  once and driven ``REPEATS`` passes, interleaved like the simulator
+  arm.  A server counts its requests either way, so the arms differ in
+  exposure plus the core and checkpointer instruments.  Same
+  recording-only treatment, plus the enabled arm's scrape must be
+  non-vacuous.
 """
 
 from __future__ import annotations
@@ -121,13 +125,13 @@ def test_sim_overhead_and_parity():
     _publish_merged(text, rows)
 
 
-def _drive_serve(url: str, num_rounds: int) -> float:
+def _drive_serve(url: str, num_rounds: int, first_seq: int = 0) -> float:
     model = MulticlassLogisticRegression(DIM, CLASSES)
     rng = np.random.default_rng(4242)
     client = ServiceClient(url, timeout=10.0)
     token = client.join(0)
     start = time.perf_counter()
-    for seq in range(num_rounds):
+    for seq in range(first_seq, first_seq + num_rounds):
         response = client.checkout(CheckoutRequest(0, token, 0.0))
         client.checkins([CheckinMessage(
             device_id=0, token=token,
@@ -142,28 +146,36 @@ def _drive_serve(url: str, num_rounds: int) -> float:
 
 def test_serve_overhead():
     num_rounds = _serve_rounds()
-
-    process, url = spawn_server(max_iterations=10**7)
+    servers = {}
     try:
-        disabled_time = _drive_serve(url, num_rounds)
-        status = ServiceClient(url).status()
-        assert status.iteration == num_rounds
-    finally:
-        stop_server(process)
-
-    process, url = spawn_server(max_iterations=10**7, extra=("--metrics",))
-    try:
-        enabled_time = _drive_serve(url, num_rounds)
-        scraped = ServiceClient(url).metrics_snapshot()
+        for arm, extra in (("disabled", ()), ("enabled", ("--metrics",))):
+            servers[arm] = spawn_server(max_iterations=10**7, extra=extra)
+        # Interleave the arms, alternating which goes first in each
+        # pair so run-position bias cancels; best-of-N per arm.
+        best = {}
+        for repeat in range(REPEATS):
+            order = ("disabled", "enabled") if repeat % 2 == 0 \
+                else ("enabled", "disabled")
+            for arm in order:
+                elapsed = _drive_serve(
+                    servers[arm][1], num_rounds, first_seq=repeat * num_rounds
+                )
+                best[arm] = min(best.get(arm, elapsed), elapsed)
+        for arm in servers:
+            status = ServiceClient(servers[arm][1]).status()
+            assert status.iteration == REPEATS * num_rounds
+        scraped = ServiceClient(servers["enabled"][1]).metrics_snapshot()
         assert scraped["enabled"] is True
         checkins = [
             c["value"] for c in scraped["counters"]
             if c["name"] == "service_requests_total"
             and c["labels"].get("endpoint") == "checkins"
         ]
-        assert checkins == [num_rounds]  # non-vacuous scrape
+        assert checkins == [REPEATS * num_rounds]  # non-vacuous scrape
     finally:
-        stop_server(process)
+        for process, _ in servers.values():
+            stop_server(process)
+    disabled_time, enabled_time = best["disabled"], best["enabled"]
 
     overhead_pct = 100.0 * (enabled_time - disabled_time) / disabled_time
     rows = {
@@ -176,7 +188,8 @@ def test_serve_overhead():
         },
     }
     text = (
-        "obs_overhead serve arm (single client loop; timing non-gating)\n"
+        f"obs_overhead serve arm (single client loop, best of {REPEATS}; "
+        "timing non-gating)\n"
         f"  disabled : {num_rounds} rounds in {disabled_time:.3f}s = "
         f"{num_rounds / disabled_time:.0f} rounds/s\n"
         f"  enabled  : {num_rounds} rounds in {enabled_time:.3f}s = "

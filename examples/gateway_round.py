@@ -137,10 +137,10 @@ def main() -> None:
     ]
     status, devices = drive_crowd(url, gateways, assignment)
     made = sum(g.requests_made for g in gateways)
-    pooled = sum(g.stats.messages_flushed for g in gateways)
+    pooled = sum(g.aggregator.stats.messages_flushed for g in gateways)
     print(f"[gateway]    server applied {status.iteration} updates through "
           f"{made} upstream requests ({pooled} check-ins pooled, "
-          f"largest batch {max(g.stats.largest_flush for g in gateways)})")
+          f"largest batch {max(g.aggregator.stats.largest_flush for g in gateways)})")
     print(f"             per-device rounds acked: "
           f"{sorted(set(d.rounds_completed for d in devices))}")
     if service is not None:

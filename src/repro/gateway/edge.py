@@ -71,6 +71,9 @@ class EdgeGateway:
         :class:`~repro.shard.frontend.ShardFrontEnd` is single-shard and
         takes its verbatim-passthrough fast path instead of being split
         and re-encoded there.  ``None`` (default) posts flushes whole.
+    metrics:
+        Optional registry for the aggregator's series and, when the
+        gateway builds its own client, the ``client_*`` series.
 
     Single-threaded per instance, like :class:`RemoteDevice`: drive one
     gateway (and its devices) from one thread, or add external locking.
@@ -91,7 +94,7 @@ class EdgeGateway:
         if isinstance(client_or_url, ServiceClient):
             self._client = client_or_url
         else:
-            self._client = ServiceClient(str(client_or_url))
+            self._client = ServiceClient(str(client_or_url), metrics=metrics)
         self._share = bool(share_checkouts)
         self._device_id = int(device_id)
         self._router = shard_router
@@ -126,11 +129,6 @@ class EdgeGateway:
     def pending(self) -> int:
         """Check-ins buffered, not yet flushed upstream."""
         return self.aggregator.pending
-
-    @property
-    def stats(self):
-        """The aggregator's lifetime counters."""
-        return self.aggregator.stats
 
     @property
     def last_result(self) -> Optional[wire.CheckinBatchResult]:

@@ -6,7 +6,10 @@ percentile windows) and, on the serve path, a :class:`TraceRecorder`
 that attributes per-request latency to named phases.  Both have
 allocation-free null variants (:data:`NULL_REGISTRY`,
 :data:`NULL_TRACER`) so instrumentation is unconditional in the code
-and free when disabled.
+and free when disabled.  The HTTP hosts, the service client and the
+shard supervisor are the exception: their registry counters are their
+public stats, so without a registry they count into a private one and
+``metrics=`` only decides where the series are published.
 
 Scrape a live service with ``GET /v1/metrics`` (Prometheus text or
 ``?format=json``) or the ``repro-obs`` CLI; the sharded front end

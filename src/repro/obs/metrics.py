@@ -25,10 +25,19 @@ Disabled mode
 
 :data:`NULL_REGISTRY` is a process-wide no-op registry: every instrument
 request returns a shared singleton whose methods do nothing and allocate
-nothing.  Code paths therefore instrument unconditionally —
-``metrics or NULL_REGISTRY`` at construction — and pay only a no-op
+nothing.  The protocol core, checkpointer, gateway aggregator, simulator
+and traced spans bind it when no registry is passed
+(``metrics or NULL_REGISTRY`` at construction) and pay only a no-op
 method call when observability is off (the no-op suite pins the
 zero-allocation property).
+
+The HTTP hosts, :class:`~repro.serve.client.ServiceClient` and the shard
+supervisor are different: their counters *are* their public stats
+(``requests_served``, ``retries_used``, ``stats_snapshot()``, …), so
+without a registry they create a private :class:`MetricsRegistry` and
+read every view from its series.  Passing ``metrics=`` only decides
+where those series are published — and, for a host, whether
+``GET /v1/metrics`` exposes them.
 
 Snapshots
 ---------
@@ -307,6 +316,11 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(Histogram, name, labels, buckets=buckets, window=window)
 
+    def series(self, name: str) -> List[Any]:
+        """Every instrument registered under ``name``, whatever its labels."""
+        with self._lock:
+            return [i for i in self._instruments.values() if i.name == name]
+
     # -- export ---------------------------------------------------------- #
 
     def snapshot(self) -> Dict[str, Any]:
@@ -418,6 +432,9 @@ class NullRegistry:
     def histogram(self, name: str, buckets=None, window: int = 512,
                   **labels: str) -> _NullHistogram:
         return NULL_HISTOGRAM
+
+    def series(self, name: str) -> List[Any]:
+        return []
 
     def snapshot(self) -> Dict[str, Any]:
         return {

@@ -154,7 +154,7 @@ class FaultyProxy:
     def port(self) -> int:
         return self._port
 
-    def stats(self) -> Dict[str, int]:
+    def stats_snapshot(self) -> Dict[str, int]:
         """A *consistent* snapshot of the fault counters.
 
         Taken under the same lock the handler threads increment with, so
@@ -165,16 +165,6 @@ class FaultyProxy:
         """
         with self._counter_lock:
             return dict(self._counts)
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        """Back-compat alias for :meth:`stats` (a snapshot, not the live
-        dict — mutations do not feed back into the proxy)."""
-        return self.stats()
-
-    def stats_snapshot(self) -> Dict[str, int]:
-        """Uniform plain-dict counter snapshot (:mod:`repro.obs` idiom)."""
-        return self.stats()
 
     def set_upstream(self, upstream_port: int, upstream_host: str = "127.0.0.1") -> None:
         """Point subsequent connections at a (restarted) upstream."""

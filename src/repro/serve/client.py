@@ -48,7 +48,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
 from repro.core.protocol import CheckinMessage, CheckoutRequest, CheckoutResponse
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import wire
 from repro.utils.exceptions import AuthenticationError, ProtocolError
 
@@ -135,6 +135,9 @@ class ServiceClient:
         seed, or ``None`` (default) for an unseeded generator.  Chaos
         campaigns seed it so a test's backoff schedule — and therefore
         its interleaving against injected faults — is deterministic.
+    metrics:
+        Optional registry for the ``client_*`` counters, which the
+        counter views read (default: a private registry).
     """
 
     def __init__(
@@ -170,12 +173,8 @@ class ServiceClient:
         else:
             self._rng = random.Random(retry_rng)
         self._local = threading.local()
-        self._counter_lock = threading.Lock()
-        self.requests_sent = 0
-        self.connections_opened = 0
-        self.reconnects = 0
-        self.retries_used = 0
-        registry = metrics if metrics is not None else NULL_REGISTRY
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self._metrics = registry
         self._m_requests = registry.counter("client_requests_total")
         self._m_connections = registry.counter("client_connections_opened_total")
         self._m_reconnects = registry.counter("client_reconnects_total")
@@ -190,11 +189,27 @@ class ServiceClient:
         return self._retries
 
     @property
+    def requests_sent(self) -> int:
+        return self._m_requests.value
+
+    @property
+    def connections_opened(self) -> int:
+        return self._m_connections.value
+
+    @property
+    def reconnects(self) -> int:
+        """Stale pooled sockets transparently replaced (not retries)."""
+        return self._m_reconnects.value
+
+    @property
+    def retries_used(self) -> int:
+        return self._m_retries.value
+
+    @property
     def reuse_ratio(self) -> float:
         """Requests per connection — ≫1 means keep-alive is working."""
-        if self.connections_opened == 0:
-            return 0.0
-        return self.requests_sent / self.connections_opened
+        connections = self.connections_opened
+        return self.requests_sent / connections if connections else 0.0
 
     # -- connection pool (one per thread) ------------------------------- #
 
@@ -207,8 +222,6 @@ class ServiceClient:
             self._host, self._port, timeout=self._timeout
         )
         self._local.conn = conn
-        with self._counter_lock:
-            self.connections_opened += 1
         self._m_connections.inc()
         return conn, False
 
@@ -238,8 +251,6 @@ class ServiceClient:
         data = response.read()  # must drain fully before the socket is reused
         if response.will_close:
             self._discard()
-        with self._counter_lock:
-            self.requests_sent += 1
         self._m_requests.inc()
         return response.status, data
 
@@ -259,8 +270,6 @@ class ServiceClient:
             # The pooled socket went stale between requests; nothing
             # reached the server on this attempt.  Replay once on a
             # fresh connection, transparently.
-            with self._counter_lock:
-                self.reconnects += 1
             self._m_reconnects.inc()
             conn, _ = self._connection()
             try:
@@ -296,8 +305,6 @@ class ServiceClient:
             except RemoteServiceError as error:
                 if attempt >= self._retries or not _retryable(error):
                     raise
-            with self._counter_lock:
-                self.retries_used += 1
             self._m_retries.inc()
             time.sleep(delay * (1.0 + self._jitter * self._rng.random()))
             delay = min(delay * 2.0, self._backoff_max)
@@ -357,15 +364,10 @@ class ServiceClient:
 
     def stats_snapshot(self) -> Dict[str, Any]:
         """Uniform plain-dict counter snapshot (:mod:`repro.obs` idiom)."""
-        with self._counter_lock:
-            requests = self.requests_sent
-            connections = self.connections_opened
-            reconnects = self.reconnects
-            retries = self.retries_used
         return {
-            "requests_sent": requests,
-            "connections_opened": connections,
-            "reconnects": reconnects,
-            "retries_used": retries,
-            "reuse_ratio": requests / connections if connections else 0.0,
+            "requests_sent": self.requests_sent,
+            "connections_opened": self.connections_opened,
+            "reconnects": self.reconnects,
+            "retries_used": self.retries_used,
+            "reuse_ratio": self.reuse_ratio,
         }

@@ -19,10 +19,10 @@ URL) differ only in their routes.  Everything else lives here, once:
 * body reading (``Content-Length`` checked, :data:`MAX_BODY_BYTES` cap)
   and response writing;
 * per-endpoint ``<metric_prefix>_requests_total`` /
-  ``_errors_total`` / ``_request_seconds`` series, the
-  ``requests_served`` / ``errors_returned`` counters, and the
-  ``GET /v1/metrics`` rendering (Prometheus text, or the JSON snapshot
-  with ``?format=json``).
+  ``_errors_total{code=}`` / ``_request_seconds`` series — the only
+  store of the ``requests_served`` / ``errors_returned`` /
+  ``total_errors`` views — and the ``GET /v1/metrics`` rendering
+  (Prometheus text, or the JSON snapshot with ``?format=json``).
 
 A request is counted, timed and its trace finished *before* the response
 is written: once a client holds its answer, every counter and scrape
@@ -46,7 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.metrics import NULL_REGISTRY, render_prometheus
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, render_prometheus
 from repro.obs.trace import NULL_TRACER
 from repro.serve import wire
 from repro.utils.exceptions import AuthenticationError, ProtocolError
@@ -86,9 +86,10 @@ class HttpHost:
         chosen one from :attr:`port` / :attr:`url`.  The socket is bound
         at construction; :meth:`start` or :meth:`serve_forever` serves it.
     metrics / tracer:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` and
-        :class:`~repro.obs.trace.TraceRecorder`; without them the same
-        call sites hit shared no-op singletons.
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`, which
+        ``GET /v1/metrics`` exposes and the counter views read, and
+        :class:`~repro.obs.trace.TraceRecorder` (default: no-op).  A host
+        without a registry counts into a private, unexposed one.
     """
 
     #: Prefix of this host's series (``service`` → ``service_requests_total``).
@@ -97,17 +98,14 @@ class HttpHost:
     thread_name = "http-host"
 
     def __init__(self, host: str, port: int, metrics=None, tracer=None):
-        self._metrics = metrics if metrics is not None else NULL_REGISTRY
+        self._exposed = metrics is not None
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._started_at = time.time()
+        self._started = time.monotonic()
         registry = self._metrics
         prefix = self.metric_prefix
         self._m_requests = {
             endpoint: registry.counter(f"{prefix}_requests_total", endpoint=endpoint)
-            for endpoint in _ENDPOINTS
-        }
-        self._m_errors = {
-            endpoint: registry.counter(f"{prefix}_errors_total", endpoint=endpoint)
             for endpoint in _ENDPOINTS
         }
         self._m_latency = {
@@ -115,14 +113,10 @@ class HttpHost:
             for endpoint in _ENDPOINTS
         }
         self._m_inflight = registry.gauge(f"{prefix}_inflight_requests")
-        self._counter_lock = threading.Lock()
-        self._idle = threading.Condition(self._counter_lock)
+        self._idle = threading.Condition()
         self._inflight = 0
         self._thread: Optional[threading.Thread] = None
         self._serving = False
-        self.requests_served = 0
-        #: error responses sent, keyed by wire error code.
-        self.errors_returned: Dict[str, int] = {}
         dispatch = self._dispatch
 
         class _Handler(BaseHTTPRequestHandler):
@@ -155,6 +149,24 @@ class HttpHost:
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
+
+    @property
+    def uptime_seconds(self) -> float:
+        """Seconds since construction, on the monotonic clock."""
+        return time.monotonic() - self._started
+
+    @property
+    def requests_served(self) -> int:
+        return sum(counter.value for counter in self._m_requests.values())
+
+    @property
+    def errors_returned(self) -> Dict[str, int]:
+        """Error responses sent, keyed by wire error code."""
+        by_code: Dict[str, int] = {}
+        for counter in self._metrics.series(f"{self.metric_prefix}_errors_total"):
+            code = counter.labels["code"]
+            by_code[code] = by_code.get(code, 0) + counter.value
+        return by_code
 
     @property
     def total_errors(self) -> int:
@@ -228,11 +240,9 @@ class HttpHost:
         """Route one request; every exit path sends exactly one response."""
         with self._idle:
             self._inflight += 1
-        self._m_inflight.inc()
         try:
             self._dispatch_inner(handler)
         finally:
-            self._m_inflight.dec()
             with self._idle:
                 self._inflight -= 1
                 if self._inflight == 0:
@@ -274,13 +284,11 @@ class HttpHost:
             # the next request line, so close instead of desyncing.
             handler.close_connection = True
         elapsed = time.perf_counter() - start
-        with self._counter_lock:
-            self.requests_served += 1
-            if code is not None:
-                self.errors_returned[code] = self.errors_returned.get(code, 0) + 1
         self._m_requests[endpoint].inc()
         if code is not None:
-            self._m_errors[endpoint].inc()
+            self._metrics.counter(
+                f"{self.metric_prefix}_errors_total", endpoint=endpoint, code=code
+            ).inc()
         self._m_latency[endpoint].observe(elapsed)
         trace.finish(status)
         self._send(handler, status, payload, content_type)
@@ -339,14 +347,20 @@ class HttpHost:
         return 200, render_prometheus(snapshot), "text/plain; version=0.0.4"
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """The registry's snapshot document; subclasses add scrape-time views."""
+        """The registry's snapshot with scrape-time gauges (if exposed)."""
+        if not self._exposed:
+            return NULL_REGISTRY.snapshot()
+        self._m_inflight.set(self._inflight)
+        self._metrics.gauge(f"{self.metric_prefix}_uptime_seconds").set(
+            self.uptime_seconds
+        )
         return self._metrics.snapshot()
 
     def stats_snapshot(self) -> Dict[str, object]:
         """Uniform plain-dict counter snapshot (:mod:`repro.obs` idiom)."""
-        with self._counter_lock:
-            return {
-                "requests_served": self.requests_served,
-                "errors_returned": dict(self.errors_returned),
-                "total_errors": sum(self.errors_returned.values()),
-            }
+        errors = self.errors_returned
+        return {
+            "requests_served": self.requests_served,
+            "errors_returned": errors,
+            "total_errors": sum(errors.values()),
+        }

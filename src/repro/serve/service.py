@@ -20,14 +20,14 @@ document)::
     GET  /v1/status     counters + stopping state (?parameters=1 for w)
     GET  /v1/metrics    obs registry scrape (?format=json for the doc)
 
-Observability (:mod:`repro.obs`) is opt-in: pass a
-:class:`~repro.obs.metrics.MetricsRegistry` and/or
-:class:`~repro.obs.trace.TraceRecorder` and every request is counted
-and latency-bucketed per endpoint, lock waits are measured, and the
-check-in path is phase-traced (decode → lock_wait → core_apply →
-checkpoint → encode).  Without them the same call sites hit shared
-no-op singletons, and ``GET /v1/metrics`` still answers 200 with an
-``enabled: false`` document.
+Every request is counted and latency-bucketed per endpoint and lock
+waits are measured, always — into a private registry unless a
+:class:`~repro.obs.metrics.MetricsRegistry` is passed, which also
+publishes the core's and checkpointer's series and makes
+``GET /v1/metrics`` expose them.  Without one the scrape still answers
+200 with an ``enabled: false`` document.  Tracing is opt-in: with a
+:class:`~repro.obs.trace.TraceRecorder` the check-in path is
+phase-traced (decode → lock_wait → core_apply → checkpoint → encode).
 
 Malformed, version-mismatched, unauthenticated, or stale (task already
 stopped) requests are answered with 4xx ``error`` envelopes; no request,
@@ -90,6 +90,9 @@ class CrowdService(HttpHost):
         incarnation; the matching fence on the *durable* side is the
         checkpointer's store opened with the same epoch
         (:class:`~repro.persist.checkpoint.SnapshotStore`).
+    metrics / tracer:
+        As for :class:`~repro.serve.http_host.HttpHost`; a registry is
+        also bound into the core and the checkpointer.
 
     Examples
     --------
@@ -257,7 +260,7 @@ class CrowdService(HttpHost):
                 duplicates_suppressed=self._core.duplicates_suppressed,
                 parameters=self._core.parameters if include else None,
                 epoch=self._shard_epoch,
-                uptime_seconds=time.time() - self._started_at,
+                uptime_seconds=self.uptime_seconds,
                 pid=os.getpid(),
             )
         finally:
@@ -267,7 +270,7 @@ class CrowdService(HttpHost):
     # -- observability views -------------------------------------------- #
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """The registry's snapshot document, with scrape-time gauges.
+        """The host's snapshot document, plus core gauges.
 
         Core counters are mirrored into gauges at scrape time (plain-int
         reads, no lock needed for monitoring) so a scrape sees protocol
@@ -280,7 +283,4 @@ class CrowdService(HttpHost):
         registry.gauge("core_duplicates_suppressed").set(
             self._core.duplicates_suppressed
         )
-        registry.gauge("service_uptime_seconds").set(
-            time.time() - self._started_at
-        )
-        return registry.snapshot()
+        return super().metrics_snapshot()

@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.sharding import ShardMergeError, merge_status_counts
@@ -113,6 +112,9 @@ class ShardFrontEnd(HttpHost):
         Upstream :class:`~repro.serve.client.ServiceClient` knobs.  A
         couple of fast retries ride out the instant of a worker restart
         without surfacing a 503 for every blip.
+    metrics:
+        As for :class:`~repro.serve.http_host.HttpHost`; the
+        ``frontend_*`` counters back the counter views too.
     """
 
     metric_prefix = "frontend"
@@ -151,14 +153,20 @@ class ShardFrontEnd(HttpHost):
         )
         self._clients: Dict[str, ServiceClient] = {}
         self._clients_lock = threading.Lock()
-        #: mixed-shard check-in batches that were split.
-        self.split_batches = 0
-        #: worker answers refused for carrying a fenced (stale) epoch.
-        self.stale_epoch_rejections = 0
 
     @property
     def router(self) -> ShardRouter:
         return self._router
+
+    @property
+    def split_batches(self) -> int:
+        """Mixed-shard check-in batches that were split."""
+        return self._m_split_batches.value
+
+    @property
+    def stale_epoch_rejections(self) -> int:
+        """Worker answers refused for carrying a fenced (stale) epoch."""
+        return self._m_stale_epoch.value
 
     # -- upstream forwarding --------------------------------------------- #
 
@@ -223,8 +231,6 @@ class ShardFrontEnd(HttpHost):
         entry = self._resolver.endpoints().get(shard)
         expected = entry[1] if entry is not None else -1
         if isinstance(answered, int) and 0 <= answered < expected:
-            with self._counter_lock:
-                self.stale_epoch_rejections += 1
             self._m_stale_epoch.inc()
             raise wire.WireError(
                 wire.ErrorCode.UNAVAILABLE,
@@ -293,8 +299,6 @@ class ShardFrontEnd(HttpHost):
         messages: List[Dict[str, Any]],
         groups: Dict[int, List[Tuple[int, Dict[str, Any]]]],
     ) -> str:
-        with self._counter_lock:
-            self.split_batches += 1
         self._m_split_batches.inc()
         answers: Dict[int, List[Optional[Dict[str, Any]]]] = {}
         iteration_total = 0
@@ -433,7 +437,7 @@ class ShardFrontEnd(HttpHost):
             num_parameters=merged["num_parameters"],
             duplicates_suppressed=merged["duplicates_suppressed"],
             shards=rows,
-            uptime_seconds=time.time() - self._started_at,
+            uptime_seconds=self.uptime_seconds,
             pid=os.getpid(),
         )
 
@@ -450,10 +454,7 @@ class ShardFrontEnd(HttpHost):
         (``frontend_metrics_scrape_failures_total``); the scrape itself
         always succeeds.
         """
-        self._metrics.gauge("frontend_uptime_seconds").set(
-            time.time() - self._started_at
-        )
-        snapshots = [self._metrics.snapshot()]
+        snapshots = [super().metrics_snapshot()]
         table = self._resolver.endpoints()
         for shard in sorted(table):
             url, _ = table[shard]
@@ -466,15 +467,14 @@ class ShardFrontEnd(HttpHost):
                 continue
             snapshots.append(label_snapshot(scraped, shard=str(shard)))
         merged = merge_snapshots(snapshots)
-        merged["enabled"] = bool(self._metrics.enabled) or len(snapshots) > 1
+        merged["enabled"] = self._exposed or len(snapshots) > 1
         return merged
 
     def stats_snapshot(self) -> Dict[str, Any]:
         """Uniform plain-dict counter snapshot (:mod:`repro.obs` idiom)."""
         snapshot = super().stats_snapshot()
-        with self._counter_lock:
-            snapshot["split_batches"] = self.split_batches
-            snapshot["stale_epoch_rejections"] = self.stale_epoch_rejections
+        snapshot["split_batches"] = self.split_batches
+        snapshot["stale_epoch_rejections"] = self.stale_epoch_rejections
         return snapshot
 
 

@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.persist.checkpoint import SnapshotStore
 from repro.serve.client import ServiceClient
 from repro.shard.worker import ShardWorker, WorkerSpawnError
@@ -77,6 +77,10 @@ class ShardSupervisor:
         (default).  ``False`` leaves the zombie running — the
         fence/stale-epoch tests use this to prove refusal is what
         protects the state, not the kill.
+    metrics:
+        Optional registry for the ``shard_supervisor_*`` counters, which
+        :meth:`stats_snapshot` reads (default: a private registry), and
+        the ``shard_fence_epoch`` gauges.
     """
 
     def __init__(
@@ -107,20 +111,13 @@ class ShardSupervisor:
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._started = False
-        self._stats_lock = threading.Lock()
-        self._stats = {
-            "failovers": 0,
-            "process_exit_failovers": 0,
-            "heartbeat_failovers": 0,
-            "respawns_in_place": 0,
-            "sibling_failovers": 0,
-            "heartbeat_misses": 0,
-        }
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._metrics = registry
-        self._m_stats = {
-            key: registry.counter(f"shard_supervisor_{key}_total")
-            for key in self._stats
+        registry = metrics if metrics is not None else MetricsRegistry()
+        self._m_events = {
+            event: registry.counter(f"shard_supervisor_{event}_total")
+            for event in (
+                "failovers", "process_exit_failovers", "heartbeat_failovers",
+                "respawns_in_place", "sibling_failovers", "heartbeat_misses",
+            )
         }
         self._m_heartbeat_seconds = registry.histogram(
             "shard_supervisor_heartbeat_seconds"
@@ -204,19 +201,12 @@ class ShardSupervisor:
         with self._table_lock:
             return dict(self._endpoints)
 
-    def stats(self) -> Dict[str, int]:
-        """Consistent snapshot of the supervision counters."""
-        with self._stats_lock:
-            return dict(self._stats)
-
     def stats_snapshot(self) -> Dict[str, int]:
         """Uniform plain-dict counter snapshot (:mod:`repro.obs` idiom)."""
-        return self.stats()
+        return {event: counter.value for event, counter in self._m_events.items()}
 
-    def _bump(self, key: str, by: int = 1) -> None:
-        with self._stats_lock:
-            self._stats[key] += by
-        self._m_stats[key].inc(by)
+    def _bump(self, event: str) -> None:
+        self._m_events[event].inc()
 
     # -- failover -------------------------------------------------------- #
 

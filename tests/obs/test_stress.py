@@ -5,23 +5,27 @@ Two properties the whole subsystem leans on:
 * **exactness under threads** — counters and histogram counts are
   lock-protected, so N threads hammering one registry produce the exact
   arithmetic totals (no lost updates), and cumulative bucket counts stay
-  monotone;
+  monotone — including the host's error views, read while handler
+  threads register new per-code series;
 * **free when off** — the null instruments allocate nothing, so the
   check-in hot path pays only no-op method calls when observability is
   disabled.
 """
 
 import gc
+import http.client
 import sys
 import threading
 
 from repro.core.auth import DeviceRegistry
+from repro.core.protocol import CheckoutRequest
 from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
 )
 from repro.obs.trace import NULL_TRACER
+from repro.serve import CrowdService, wire
 
 from tests.persist.conftest import make_core, make_message
 
@@ -114,6 +118,84 @@ class TestThreadStress:
         for thread in threads:
             thread.join()
         assert gauge.value in written
+
+
+def _request(port, method, path, body):
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        connection.request(method, path, body=body)
+        connection.getresponse().read()
+    finally:
+        connection.close()
+
+
+class TestHostCounterStress:
+    #: (method, path, body) → the typed error code the host answers with.
+    FAULTS = [
+        (("PUT", "/v1/checkins", b"{}"), wire.ErrorCode.METHOD_NOT_ALLOWED),
+        (("POST", "/v2/nope", b"{}"), wire.ErrorCode.NOT_FOUND),
+        (("POST", "/v1/checkins", b"garbage"), wire.ErrorCode.MALFORMED),
+        (
+            (
+                "POST", "/v1/checkout",
+                wire.encode_checkout_request(
+                    CheckoutRequest(99, "forged", 0.0)
+                ).encode(),
+            ),
+            wire.ErrorCode.AUTH_FAILED,
+        ),
+    ]
+    PER_THREAD = 40  # a multiple of len(FAULTS): every code lands equally
+
+    def test_error_views_exact_under_concurrent_reads(self):
+        barrier = threading.Barrier(THREADS + 1)
+        stop = threading.Event()
+        read_failures = []
+
+        def send(index, port):
+            barrier.wait()
+            for step in range(self.PER_THREAD):
+                request, _ = self.FAULTS[(index + step) % len(self.FAULTS)]
+                _request(port, *request)
+
+        def read(host):
+            barrier.wait()
+            while not stop.is_set():
+                try:
+                    host.total_errors
+                    host.stats_snapshot()
+                except Exception as error:  # noqa: BLE001 - recorded
+                    read_failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleavings between threads
+        try:
+            with CrowdService(make_core()) as host:
+                reader = threading.Thread(target=read, args=(host,))
+                reader.start()
+                senders = [
+                    threading.Thread(target=send, args=(i, host.port))
+                    for i in range(THREADS)
+                ]
+                for thread in senders:
+                    thread.start()
+                for thread in senders:
+                    thread.join(timeout=60)
+                stop.set()
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [reader, *senders])
+        total = THREADS * self.PER_THREAD
+        each = total // len(self.FAULTS)
+        assert read_failures == []
+        assert host.errors_returned == {code: each for _, code in self.FAULTS}
+        assert host.total_errors == host.requests_served == total
+        assert host.stats_snapshot() == {
+            "requests_served": total,
+            "errors_returned": host.errors_returned,
+            "total_errors": total,
+        }
 
 
 class TestNoOpMode:

@@ -20,6 +20,7 @@ from repro.core.protocol import CheckoutResponse
 from repro.core.server_core import ServerCore
 from repro.gateway.edge import GATEWAY_DEVICE_ID, EdgeGateway
 from repro.models import MulticlassLogisticRegression
+from repro.obs.metrics import MetricsRegistry
 from repro.optim import paper_sgd
 from repro.serve import CrowdService, HttpTransport, RemoteDevice, wire
 from repro.serve.client import RemoteServiceError, ServiceClient
@@ -161,8 +162,24 @@ class TestEdgeGateway:
             per_device = 2 * num_devices * num_rounds
             assert gateway.requests_made == 1 + 2 * num_rounds
             assert gateway.requests_made < per_device
-            assert gateway.stats.size_flushes == num_rounds
-            assert gateway.stats.largest_flush == num_devices
+            assert gateway.aggregator.stats.size_flushes == num_rounds
+            assert gateway.aggregator.stats.largest_flush == num_devices
+
+    def test_registry_reaches_the_gateways_own_client(self):
+        registry = MetricsRegistry("gateway")
+        with CrowdService(make_core()) as service:
+            gateway = EdgeGateway(service.url, flush_size=2, metrics=registry)
+            from repro.core.protocol import CheckoutRequest
+
+            token = ServiceClient(service.url).join(0)
+            gateway.checkout(CheckoutRequest(0, token, 0.0))
+        counters = {
+            c["name"]: c["value"] for c in registry.snapshot()["counters"]
+        }
+        # The shared check-out cost the gateway's client a join + checkout.
+        assert gateway.requests_made == 2
+        assert counters.get("client_requests_total") == 2
+        assert gateway.client.requests_sent == 2
 
     def test_epoch_cache_invalidates_on_flush(self):
         core = make_core()

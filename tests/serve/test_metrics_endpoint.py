@@ -192,3 +192,20 @@ class TestErrorCounters:
             if c["name"] == "service_errors_total" and c["value"]
         }
         assert errors.get("checkins", 0) >= 1
+
+    def test_errors_labelled_by_code(self, observed):
+        service, _, _ = observed
+        with pytest.raises(urllib.error.HTTPError):
+            urllib.request.urlopen(
+                urllib.request.Request(
+                    service.url + "/v1/checkins", data=b"garbage",
+                    method="POST",
+                )
+            )
+        counters = service.metrics_snapshot()["counters"]
+        assert {
+            "name": "service_errors_total",
+            "labels": {"endpoint": "checkins", "code": "malformed"},
+            "value": 1,
+        } in counters
+        assert service.errors_returned == {"malformed": 1}

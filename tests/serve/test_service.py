@@ -9,10 +9,12 @@ The host-level cases (routing, body limits, fuzz bodies, internal
 errors, lifecycle) live in the ``Host*`` mixins and run twice: against a
 ``CrowdService`` in ``TestRejections`` / ``TestRobustness``, and against
 a ``ShardFrontEnd`` over one in-process worker in ``TestFrontEndHost`` —
-both answer through the one shared ``HttpHost``.
+both answer through the one shared ``HttpHost``.  ``TestSingleStore``
+pins that every counter view reads its component's registry series.
 """
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -23,6 +25,7 @@ from repro.core.config import ServerConfig
 from repro.core.protocol import CheckinMessage, CheckoutRequest
 from repro.core.server_core import ServerCore
 from repro.models import MulticlassLogisticRegression
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     CrowdService,
     RemoteAuthenticationError,
@@ -61,6 +64,16 @@ def make_host():
 def host(make_host):
     with make_host() as live:
         yield live
+
+
+@pytest.fixture()
+def make_frontend():
+    """Builds unstarted front ends over one in-process worker."""
+    with CrowdService(make_core()) as worker:
+        endpoints = StaticEndpoints({0: worker.url})
+        yield lambda port=0, **kwargs: ShardFrontEnd(
+            ShardRouter(1), endpoints, port=port, **kwargs
+        )
 
 
 def break_checkout(host, monkeypatch):
@@ -298,6 +311,13 @@ class HostRobustness:
         assert client.checkout(CheckoutRequest(0, token, 0.0)) is not None
         assert host.errors_returned[wire.ErrorCode.INTERNAL] == 1
 
+    def test_uptime_ignores_wall_clock_steps(self, host, monkeypatch):
+        # Uptime tells failover incarnations apart; a wall clock stepped
+        # back an hour after start must not make it negative.
+        wall_clock = time.time
+        monkeypatch.setattr(time, "time", lambda: wall_clock() - 3600.0)
+        assert ServiceClient(host.url).status().uptime_seconds >= 0.0
+
 
 class TestRobustness(HostRobustness):
     def test_wrong_envelope_kind_on_route(self, service):
@@ -314,7 +334,75 @@ class TestFrontEndHost(HostRejections, HostRobustness):
     """The host contract through a ShardFrontEnd over one in-process worker."""
 
     @pytest.fixture()
-    def make_host(self):
-        with CrowdService(make_core()) as worker:
-            endpoints = StaticEndpoints({0: worker.url})
-            yield lambda port=0: ShardFrontEnd(ShardRouter(1), endpoints, port=port)
+    def make_host(self, make_frontend):
+        return make_frontend
+
+
+class TestSingleStore:
+    """Every counter view reads its component's own registry series —
+    a passed registry's, or the private one built without ``metrics=``."""
+
+    #: view → the counter series behind it, per component.
+    VIEWS = {
+        "service": {
+            "requests_served": "service_requests_total",
+            "total_errors": "service_errors_total",
+        },
+        "frontend": {
+            "requests_served": "frontend_requests_total",
+            "total_errors": "frontend_errors_total",
+            "split_batches": "frontend_split_batches_total",
+            "stale_epoch_rejections": "frontend_stale_epoch_rejections_total",
+        },
+        "client": {
+            "requests_sent": "client_requests_total",
+            "connections_opened": "client_connections_opened_total",
+            "reconnects": "client_reconnects_total",
+            "retries_used": "client_retries_total",
+        },
+    }
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["registry", "private"])
+    @pytest.mark.parametrize("kind", ["service", "frontend", "client"])
+    def test_views_equal_the_series(self, kind, shared, make_frontend, monkeypatch):
+        registry = MetricsRegistry("views") if shared else None
+        if kind == "frontend":
+            host = make_frontend(metrics=registry)
+        else:
+            host = CrowdService(
+                make_core(), metrics=registry if kind == "service" else None
+            )
+        with host:
+            client = ServiceClient(
+                host.url, retries=2, backoff=0.001,
+                metrics=registry if kind == "client" else None,
+            )
+            token = client.join(0)
+            client.checkins([checkin_for(client, 0, token)])
+            raw_post(host.url, "/v1/checkins", b"garbage")
+            break_checkout(host, monkeypatch)
+            with pytest.raises(RemoteServiceError):
+                client.checkout(CheckoutRequest(0, token, 0.0))
+        # join + checkout + checkins, then one malformed and three 500s.
+        assert host.requests_served == 7
+        assert host.errors_returned == {
+            wire.ErrorCode.MALFORMED: 1, wire.ErrorCode.INTERNAL: 3,
+        }
+        assert client.requests_sent == 6
+        assert client.retries_used == 2
+        component = client if kind == "client" else host
+        counters = component._metrics.snapshot()["counters"]
+        if shared:
+            assert component._metrics is registry
+        for view, name in self.VIEWS[kind].items():
+            total = sum(c["value"] for c in counters if c["name"] == name)
+            assert getattr(component, view) == total, view
+            assert component.stats_snapshot()[view] == total, view
+        if kind != "client":
+            by_code = {}
+            for counter in counters:
+                if counter["name"] == f"{host.metric_prefix}_errors_total":
+                    code = counter["labels"]["code"]
+                    by_code[code] = by_code.get(code, 0) + counter["value"]
+            assert host.errors_returned == by_code
+            assert host.stats_snapshot()["errors_returned"] == by_code
